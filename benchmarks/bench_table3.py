@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.experiments.common import RESULTS_DIR, render_rows
+from repro.experiments.common import render_rows, results_dir
 from repro.experiments.table3 import run_table3
 
 COLS = ["collection", "algo", "diff_s", "scratch_s", "adaptive_s",
@@ -25,11 +25,12 @@ def test_table3_collection(benchmark, spark, collection):
     print(f"\nTable 3 [{collection}] — runtimes (s)")
     print(render_rows(rows, COLS))
     # merge all collections' rows into one results file
-    path = os.path.join(RESULTS_DIR, "table3.json")
+    out = results_dir()
+    path = os.path.join(out, "table3.json")
     merged = []
     if os.path.exists(path):
         merged = [r for r in json.load(open(path)) if r["collection"] != collection]
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     json.dump(merged + rows, open(path, "w"), indent=2)
     # adaptive must be within a modest factor of the better baseline
     for r in rows:

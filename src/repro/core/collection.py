@@ -3,18 +3,23 @@ materialized-collection handle the Analytics Computation Executor consumes.
 
 ``materialize_collection`` runs the three-step pipeline:
 
-1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix (Spark);
+1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix (a lazy Spark
+   frame, evaluated by the first pass that reads it);
 2. :func:`repro.core.ordering.optimize_order` — CBMP_1.5 ordering
    (Spark Hamming pass + driver Christofides), or a user/"given" order;
-3. :func:`repro.core.diffstream` — edge difference stream (Spark), counted
-   to force materialization (the paper's collection creation time, CCT,
-   covers exactly these steps).
+3. :func:`repro.core.diffstream.collect_stream` — the edge difference
+   stream, one Spark pass collected to the driver (the paper's collection
+   creation time, CCT, covers exactly these steps).
 
-:class:`MaterializedCollection` exposes per-view edge sets and per-
-transition difference sets δC_t. Artificial collections built from explicit
+So creation makes one Spark pass over the EBM for ``"given"`` and explicit
+orders and two for ``"optimize"``, and caches the EBM only while it is
+read twice. :class:`MaterializedCollection` keeps the collected stream,
+sorted by t, as the driver-side arrangement: view sizes, diff counts, each
+δC_t (a slice) and each view's edge set (a replay of δC_0..δC_t) are read
+from it without a Spark job. Artificial collections built from explicit
 edge sets (paper §5's controlled experiment, our Table 2) go through
-:func:`from_edge_sets`, which fabricates the equivalent EBM so every
-collection takes the same code path downstream.
+:func:`from_edge_sets`, which runs the same flips kernel on driver-side
+bits, so every collection takes the same code path downstream.
 """
 from __future__ import annotations
 
@@ -24,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import diffstream as ds
-from repro.core.ebm import BITS, compute_ebm
+from repro.core.ebm import compute_ebm
 from repro.core.ordering import optimize_order
 from repro.gvdl import parse, to_spark_column
 from repro.gvdl.parser import ViewCollectionDef
@@ -36,54 +40,71 @@ from repro.storage.store import GraphStore
 
 @dataclass
 class MaterializedCollection:
-    """An ordered view collection backed by a cached EBM frame.
+    """An ordered view collection held as its collected difference stream.
 
     ``names``/``order`` are aligned: ``names[t]`` is the view executed at
-    timestamp t, which is EBM column ``order[t]``.
+    timestamp t, which is EBM column ``order[t]``. ``stream`` holds the rows
+    ``(t, eid, src, dst, weight, sign)`` sorted by ``(t, eid)``; sizes,
+    counts, views and δ are read from it at the driver, with no Spark job.
     """
 
     spark: SparkSession
     name: str
     names: list[str]
     order: list[int]
-    ebm: DataFrame
+    stream: pd.DataFrame
     vertices: pd.DataFrame
-    view_sizes: list[int]
-    diff_counts: list[int]
     hamming: np.ndarray | None = None
     cct: dict = field(default_factory=dict)
+    view_sizes: list[int] = field(init=False)
+    diff_counts: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        k = self.k
+        self.diff_counts = ds.diff_counts(self.stream, k)
+        self.view_sizes = ds.view_sizes(self.stream, k)
+        # δC_t is rows [_bounds[t], _bounds[t + 1]) of the stream.
+        self._bounds = np.concatenate([[0], np.cumsum(self.diff_counts)])
+        _, first, self._edge_of_row = np.unique(
+            self.stream["eid"].to_numpy(), return_index=True, return_inverse=True
+        )
+        # One row per edge of the union of all views, in eid order.
+        self._edges = self.stream.iloc[first][["src", "dst", "weight"]].reset_index(
+            drop=True
+        )
+        self._signs = self.stream["sign"].to_numpy()
 
     @property
     def k(self) -> int:
         return len(self.order)
 
+    def _check_t(self, t: int) -> None:
+        if not 0 <= t < self.k:
+            raise IndexError(f"view {t} outside 0..{self.k - 1}")
+
     def view_edges_pd(self, t: int) -> pd.DataFrame:
-        """Edge set (src, dst, weight) of the t-th view in collection order."""
-        col = self.order[t]
-        return (
-            self.ebm.where(F.col(BITS)[col])
-            .select("src", "dst", "weight")
-            .toPandas()
+        """Edge set (src, dst, weight) of the t-th view in collection order,
+        in eid order: the edges whose signs in δC_0..δC_t sum to 1."""
+        self._check_t(t)
+        end = self._bounds[t + 1]
+        net = np.bincount(
+            self._edge_of_row[:end],
+            weights=self._signs[:end],
+            minlength=len(self._edges),
         )
+        return self._edges[net == 1].reset_index(drop=True)
 
     def delta_pd(self, t: int) -> pd.DataFrame:
-        """δC_t as (src, dst, weight, sign ±1); t ≥ 1."""
+        """δC_t as (src, dst, weight, sign ±1), in eid order; t ≥ 1."""
         if t < 1:
             raise ValueError("δC_0 is the first view itself; use view_edges_pd(0)")
-        a, b = self.order[t - 1], self.order[t]
-        return (
-            self.ebm.where(F.col(BITS)[a] != F.col(BITS)[b])
-            .select(
-                "src",
-                "dst",
-                "weight",
-                F.when(F.col(BITS)[b], F.lit(1)).otherwise(F.lit(-1)).alias("sign"),
-            )
-            .toPandas()
-        )
+        self._check_t(t)
+        rows = self.stream.iloc[self._bounds[t] : self._bounds[t + 1]]
+        return rows[["src", "dst", "weight", "sign"]].reset_index(drop=True)
 
     def unpersist(self) -> None:
-        self.ebm.unpersist()
+        """Release the collection. Creation already released the EBM and the
+        stream lives at the driver, so there is nothing cached in Spark."""
 
 
 def _finish(
@@ -95,33 +116,44 @@ def _finish(
     order,
     cct: dict,
 ) -> MaterializedCollection:
+    """Order the views, then collect the EBM's difference stream once.
+
+    The first pass to read the (lazy) EBM evaluates it, so its cost lands
+    in ``cct["ordering"]`` for ``"optimize"`` and in ``cct["diffstream"]``
+    otherwise. Only ``"optimize"`` reads the EBM twice, so only it caches
+    the EBM, and releases it before returning.
+    """
     k = len(names_by_col)
-    hamming = None
-    t0 = time.perf_counter()
-    if order == "optimize":
-        order, hamming = optimize_order(ebm, k)
-    elif order == "given":
+    optimize = isinstance(order, str) and order == "optimize"
+    if isinstance(order, str) and order == "given":
         order = list(range(k))
-    else:
+    elif not optimize:
         order = list(order)
         if sorted(order) != list(range(k)):
             raise ValueError("explicit order must be a permutation of views")
-    cct["ordering"] = time.perf_counter() - t0
+    hamming = None
+    if optimize:
+        ebm.cache()
+    try:
+        t0 = time.perf_counter()
+        if optimize:
+            order, hamming = optimize_order(ebm, k)
+        cct["ordering"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    counts = ds.diff_counts(ebm, order)  # forces diff-stream materialization
-    sizes = ds.view_sizes(ebm, order)
-    cct["diffstream"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        stream = ds.collect_stream(ebm, order)
+        cct["diffstream"] = time.perf_counter() - t0
+    finally:
+        if optimize:
+            ebm.unpersist()
     cct["total"] = sum(cct.values())
     return MaterializedCollection(
         spark=spark,
         name=name,
         names=[names_by_col[c] for c in order],
         order=order,
-        ebm=ebm,
+        stream=stream,
         vertices=vertices,
-        view_sizes=sizes,
-        diff_counts=counts,
         hamming=hamming,
         cct=cct,
     )
@@ -143,9 +175,8 @@ def materialize_collection(
     """
     cct: dict = {}
     t0 = time.perf_counter()
-    ebm = compute_ebm(store, [c for _, c in views], weight_col=weight_col).cache()
-    ebm.count()  # force EBM materialization for honest CCT
-    cct["ebm"] = time.perf_counter() - t0
+    ebm = compute_ebm(store, [c for _, c in views], weight_col=weight_col)
+    cct["ebm"] = time.perf_counter() - t0  # planning only; see _finish
     return _finish(
         store.spark, name, [n for n, _ in views], ebm, store.vertices(), order, cct
     )
@@ -178,12 +209,15 @@ def from_edge_sets(
 ) -> MaterializedCollection:
     """Build a collection from explicit per-view edge sets (src, dst[, weight]).
 
-    Fabricates the EBM over the union universe of all edges so artificial
-    collections (paper §5's controlled experiment) flow through the same
-    executor path as predicate-defined ones. Views keep the given order.
+    Builds the EBM's bits over the union universe of all edges at the
+    driver and runs the same flips kernel as :func:`diffstream.diff_stream`
+    on them, so artificial collections (paper §5's controlled experiment)
+    flow through the same executor path as predicate-defined ones without a
+    Spark job. Views keep the given order.
     """
     k = len(edge_sets)
     names = names or [f"V{t}" for t in range(k)]
+    t0 = time.perf_counter()
     frames = []
     for t, e in enumerate(edge_sets):
         e = e.copy()
@@ -192,6 +226,7 @@ def from_edge_sets(
         e["_t"] = t
         frames.append(e[["src", "dst", "weight", "_t"]])
     allp = pd.concat(frames, ignore_index=True)
+    allp["weight"] = allp["weight"].astype("float64")
     # Key on (src, dst, weight): an edge whose weight changes between views
     # becomes a −old/+new difference pair, exactly as in the paper's
     # Table-1 example of cost updates.
@@ -205,17 +240,18 @@ def from_edge_sets(
         pd.MultiIndex.from_arrays([allp.src, allp.dst, allp.weight])
     ].to_numpy()
     bits[rows, allp["_t"].to_numpy()] = True
-    ebm_pd = pd.DataFrame(
-        {
-            "eid": uni.eid.to_numpy(),
-            "src": uni.src.to_numpy(),
-            "dst": uni.dst.to_numpy(),
-            "weight": uni.weight.to_numpy().astype("float64"),
-            BITS: bits.tolist(),
-        }
+    cct = {"ebm": time.perf_counter() - t0, "ordering": 0.0}
+    t0 = time.perf_counter()
+    order = list(range(k))
+    stream = ds.sort_stream(ds.flips(uni, bits, order))
+    cct["diffstream"] = time.perf_counter() - t0
+    cct["total"] = sum(cct.values())
+    return MaterializedCollection(
+        spark=spark,
+        name=name,
+        names=names,
+        order=order,
+        stream=stream,
+        vertices=vertices,
+        cct=cct,
     )
-    ebm = spark.createDataFrame(
-        ebm_pd, schema="eid long, src long, dst long, weight double, bits array<boolean>"
-    ).cache()
-    ebm.count()
-    return _finish(spark, name, names, ebm, vertices, "given", {"ebm": 0.0})

@@ -3,76 +3,97 @@
 Treat the ordered view collection as an evolving input: δC_t contains edge
 e with multiplicity +1 if e enters at view t, −1 if it leaves, 0 otherwise
 (with δC_0 = the first view itself, i.e. every edge of GV_0 enters at t=0).
-Per-edge contributions are independent — one embarrassingly parallel pass.
+Per-edge contributions are independent — one embarrassingly parallel pass
+(:func:`diff_stream`), collected once (:func:`collect_stream`). Everything
+else about the collection — |δC_t|, |GV_t|, each δC_t and each view's edge
+set — follows from the collected stream at the driver.
 """
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame
 
 from repro.core.ebm import BITS
 
+# Spark's Python workers need not be able to import ``repro`` (it may be on
+# the driver's sys.path only), so this module's functions that run inside
+# Spark tasks are shipped by value, as nested functions always are.
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
+
 DIFF_SCHEMA = "t int, eid long, src long, dst long, weight double, sign int"
+DIFF_DTYPES = {
+    "t": "int32",
+    "eid": "int64",
+    "src": "int64",
+    "dst": "int64",
+    "weight": "float64",
+    "sign": "int32",
+}
+
+
+def flips(edges: pd.DataFrame, bits: np.ndarray, order) -> pd.DataFrame:
+    """Difference rows ``(t, eid, src, dst, weight, sign)`` of ``edges``
+    (columns eid, src, dst, weight), whose membership in view j is
+    ``bits[:, j]``, for the views taken in ``order``."""
+    member = bits[:, np.asarray(order, dtype="int64")].astype("int8")
+    prev = np.concatenate(
+        [np.zeros((len(member), 1), dtype="int8"), member[:, :-1]], axis=1
+    )
+    delta = member - prev  # ∈ {-1, 0, +1}
+    rows, ts = np.nonzero(delta)
+    return pd.DataFrame(
+        {
+            "t": ts.astype("int32"),
+            "eid": edges["eid"].to_numpy()[rows],
+            "src": edges["src"].to_numpy()[rows],
+            "dst": edges["dst"].to_numpy()[rows],
+            "weight": edges["weight"].to_numpy()[rows],
+            "sign": delta[rows, ts].astype("int32"),
+        }
+    )
 
 
 def diff_stream(ebm: DataFrame, order: list[int]) -> DataFrame:
     """Materialize the difference stream ``(t, eid, src, dst, weight, sign)``
     for the views of ``ebm`` taken in ``order``."""
-    order_arr = np.asarray(order, dtype="int64")
+    order = list(order)
 
-    def flips(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            bits = np.vstack(pdf[BITS].to_numpy())[:, order_arr].astype("int8")
-            prev = np.concatenate(
-                [np.zeros((len(pdf), 1), dtype="int8"), bits[:, :-1]], axis=1
-            )
-            delta = bits - prev  # ∈ {-1, 0, +1}
-            rows, ts = np.nonzero(delta)
-            yield pd.DataFrame(
-                {
-                    "t": ts.astype("int32"),
-                    "eid": pdf["eid"].to_numpy()[rows],
-                    "src": pdf["src"].to_numpy()[rows],
-                    "dst": pdf["dst"].to_numpy()[rows],
-                    "weight": pdf["weight"].to_numpy()[rows],
-                    "sign": delta[rows, ts].astype("int32"),
-                }
-            )
-
-    return ebm.mapInPandas(flips, schema=DIFF_SCHEMA)
-
-
-def diff_counts(ebm: DataFrame, order: list[int]) -> list[int]:
-    """|δC_t| for every t (number of ±1 entries per view transition)."""
-    k = len(order)
-    counted = (
-        diff_stream(ebm, order).groupBy("t").count().collect()
-    )
-    out = [0] * k
-    for row in counted:
-        out[row["t"]] = int(row["count"])
-    return out
-
-
-def view_sizes(ebm: DataFrame, order: list[int]) -> list[int]:
-    """|GV_t| (edge count of each view) in collection order."""
-    order_arr = np.asarray(order, dtype="int64")
-
-    def sizes(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        acc = np.zeros(len(order_arr), dtype="int64")
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             if len(pdf):
-                bits = np.vstack(pdf[BITS].to_numpy())[:, order_arr]
-                acc += bits.sum(axis=0).astype("int64")
-        yield pd.DataFrame({"s": [acc.tolist()]})
+                yield flips(pdf, np.vstack(pdf[BITS].to_numpy()), order)
 
-    parts = ebm.select(BITS).mapInPandas(sizes, schema="s array<long>").collect()
-    total = np.zeros(len(order_arr), dtype="int64")
-    for row in parts:
-        total += np.asarray(row["s"], dtype="int64")
-    return [int(x) for x in total]
+    return ebm.mapInPandas(kernel, schema=DIFF_SCHEMA)
+
+
+def sort_stream(stream: pd.DataFrame) -> pd.DataFrame:
+    """The stream with fixed dtypes, sorted by ``(t, eid)``."""
+    stream = stream.astype(DIFF_DTYPES)
+    rank = np.lexsort((stream["eid"].to_numpy(), stream["t"].to_numpy()))
+    return stream.iloc[rank].reset_index(drop=True)
+
+
+def collect_stream(ebm: DataFrame, order: list[int]) -> pd.DataFrame:
+    """Run :func:`diff_stream` once and bring it to the driver, sorted by
+    ``(t, eid)``. This pass is the only one that evaluates the EBM when
+    nothing read it before."""
+    return sort_stream(diff_stream(ebm, order).toPandas())
+
+
+def diff_counts(stream: pd.DataFrame, k: int) -> list[int]:
+    """|δC_t| for every t (number of ±1 entries per view transition)."""
+    return np.bincount(stream["t"].to_numpy(), minlength=k).tolist()
+
+
+def view_sizes(stream: pd.DataFrame, k: int) -> list[int]:
+    """|GV_t| (edge count of each view) in collection order: the running
+    sum of the stream's signs."""
+    signed = np.bincount(
+        stream["t"].to_numpy(), weights=stream["sign"].to_numpy(), minlength=k
+    )
+    return np.cumsum(signed).astype("int64").tolist()

@@ -9,10 +9,13 @@ with one of three strategies:
   the engine's ``advance`` (the paper's diff-only);
 - ``"adaptive"`` — the §5 splitting optimizer decides per ℓ-view batch.
 
+Each view's edge set and each δC_t come from the collection's difference
+stream, collected to the driver at creation: a view is a replay of the
+stream up to t and δC_t a slice of it, so neither starts a Spark job.
 Per-view wall times cover exactly the analytics computation (the view edge
-streams are pre-materialized, as in the paper where collection creation is
-a separate, earlier step); feeding δC_t (collecting the difference set) is
-charged to the differential run that consumes it.
+sets are built up front, as in the paper where collection creation is a
+separate, earlier step); reading δC_t is charged to the differential run
+that consumes it.
 """
 from __future__ import annotations
 

@@ -5,15 +5,20 @@ import json
 import os
 from typing import Any
 
-RESULTS_DIR = os.environ.get(
-    "REPRO_RESULTS_DIR", os.path.join(os.path.dirname(__file__), "../../../results")
-)
+#: Where table rows go unless ``REPRO_RESULTS_DIR`` names another directory.
+DEFAULT_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "../../../results")
+
+
+def results_dir() -> str:
+    """The results directory, read from ``REPRO_RESULTS_DIR`` at each call."""
+    return os.environ.get("REPRO_RESULTS_DIR", DEFAULT_RESULTS_DIR)
 
 
 def save_results(name: str, payload: Any) -> str:
-    """Write a table's measured rows to ``results/<name>.json``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
+    """Write a table's measured rows to ``<results_dir()>/<name>.json``."""
+    out = results_dir()
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f"{name}.json")
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, default=str)
     return path

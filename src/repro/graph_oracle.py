@@ -94,8 +94,8 @@ def ref_pagerank(
     r_0 = 1, r_i(v) = (1−d) + d·Σ_{u→v} r_{i−1}(u)/outdeg(u)."""
     idx = {v: i for i, v in enumerate(sorted(vertices))}
     n = len(idx)
-    src = np.array([idx[int(s)] for s in edges.src])
-    dst = np.array([idx[int(d)] for d in edges.dst])
+    src = np.array([idx[int(s)] for s in edges.src], dtype="int64")
+    dst = np.array([idx[int(d)] for d in edges.dst], dtype="int64")
     deg = np.zeros(n)
     np.add.at(deg, src, 1.0)
     r = np.ones(n)

@@ -1,4 +1,6 @@
 """End-to-end view-collection materialization tests (paper §3.2.1)."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -114,3 +116,122 @@ def test_from_edge_sets_roundtrip(spark):
     for t, v in enumerate([v0, v1, v2]):
         got = set(zip(coll.view_edges_pd(t).src, coll.view_edges_pd(t).dst))
         assert got == set(zip(v.src, v.dst))
+
+
+# ---------------------------------------------------------------------------
+# Views and δ served from the collected difference stream.
+
+#: Overlapping, non-nested views, so later views delete edges of earlier ones.
+MIXED = {
+    "short": ("duration <= 5", lambda f: f.duration <= 5),
+    "y2019": ("year = 2019", lambda f: f.year == 2019),
+    "ca": ("src.state = 'CA'", lambda f: f.src_state == "CA"),
+    "long_old": ("duration > 10 and year <= 2019", lambda f: (f.duration > 10) & (f.year <= 2019)),
+}
+
+
+def _multiset(frame, cols):
+    return sorted(tuple(r) for r in frame[cols].itertuples(index=False))
+
+
+def _delta(prev: pd.DataFrame, cur: pd.DataFrame) -> list[tuple]:
+    """Multiset difference cur − prev on (src, dst, weight), signed."""
+    cols = ["src", "dst", "weight"]
+    m = prev[cols].merge(cur[cols], on=cols, how="outer", indicator=True)
+    diff = m[m["_merge"] != "both"]
+    signed = diff.assign(sign=np.where(diff["_merge"] == "right_only", 1, -1))
+    return _multiset(signed, cols + ["sign"])
+
+
+def _check_against(coll, expected: dict[str, pd.DataFrame]) -> int:
+    """view_edges_pd / delta_pd / view_sizes / diff_counts of ``coll`` equal
+    the expected per-view edge sets; returns the number of deletions seen."""
+    cols = ["src", "dst", "weight"]
+    deletions = 0
+    for t, name in enumerate(coll.names):
+        want = expected[name]
+        got = coll.view_edges_pd(t)
+        assert list(got.columns) == cols
+        assert _multiset(got, cols) == _multiset(want, cols), f"view {name}"
+        assert coll.view_sizes[t] == len(want)
+        if t == 0:
+            assert coll.diff_counts[0] == len(want)
+            continue
+        d = coll.delta_pd(t)
+        assert list(d.columns) == cols + ["sign"]
+        want_d = _delta(expected[coll.names[t - 1]], want)
+        assert _multiset(d, cols + ["sign"]) == want_d, f"delta into {name}"
+        assert coll.diff_counts[t] == len(want_d)
+        deletions += int((d.sign == -1).sum())
+    return deletions
+
+
+@pytest.fixture(scope="module")
+def mixed_expected(store):
+    evf = store.edge_view_frame_pd()
+    evf["weight"] = evf["duration"].astype("float64")
+    return {n: evf[mask(evf)] for n, (_, mask) in MIXED.items()}
+
+
+@pytest.mark.parametrize("order", ["given", "optimize", [2, 0, 3, 1]])
+def test_stream_serves_views_and_deltas(store, mixed_expected, order):
+    views = [(n, to_spark_column(parse_predicate(p))) for n, (p, _) in MIXED.items()]
+    c = materialize_collection(store, "mixed", views, order=order, weight_col="duration")
+    assert _check_against(c, mixed_expected) > 0
+    if order == "optimize":
+        from repro.core.ordering import order_diff_count
+
+        assert sum(c.diff_counts) == order_diff_count(c.hamming, c.order)
+
+
+def test_stream_serves_from_edge_sets_with_weight_change(spark):
+    nodes = pd.DataFrame({"vid": range(6)})
+    v0 = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3], "weight": [2.0, 1.0, 1.0]})
+    v1 = pd.DataFrame({"src": [0, 1, 3], "dst": [1, 2, 4], "weight": [1.0, 1.0, 1.0]})
+    v2 = pd.DataFrame({"src": [0, 2, 3], "dst": [1, 3, 4], "weight": [1.0, 1.0, 5.0]})
+    coll = from_edge_sets(spark, "w", [v0, v1, v2], nodes)
+    expected = dict(zip(coll.names, [v0, v1, v2]))
+    assert _check_against(coll, expected) > 0
+    # (0, 1) changes weight 2 → 1: a −old/+new pair.
+    d = coll.delta_pd(1)
+    assert _multiset(d[(d.src == 0) & (d.dst == 1)], ["weight", "sign"]) == [
+        (1.0, 1),
+        (2.0, -1),
+    ]
+
+
+def test_view_index_out_of_range(coll):
+    with pytest.raises(IndexError):
+        coll.view_edges_pd(coll.k)
+    with pytest.raises(IndexError):
+        coll.delta_pd(coll.k)
+
+
+def test_views_deltas_and_edge_sets_start_no_spark_job(spark, coll):
+    """Reading views and δ, and building a collection from edge sets, run
+    at the driver: no Spark job is submitted under their job group."""
+    sc = spark.sparkContext
+    tracker = sc.statusTracker()
+    try:
+        sc.setJobGroup("no-spark-probe", "driver-only calls")
+        for t in range(coll.k):
+            coll.view_edges_pd(t)
+            if t:
+                coll.delta_pd(t)
+        nodes = pd.DataFrame({"vid": range(4)})
+        v0 = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+        v1 = pd.DataFrame({"src": [1, 2], "dst": [2, 3]})
+        built = from_edge_sets(spark, "probe", [v0, v1], nodes)
+        built.view_edges_pd(1)
+        built.delta_pd(1)
+        # A job in a later group: once the tracker shows it, it has seen
+        # every job submitted before it.
+        sc.setJobGroup("no-spark-control", "control job")
+        spark.range(3).count()
+        deadline = time.monotonic() + 30
+        while not tracker.getJobIdsForGroup("no-spark-control"):
+            assert time.monotonic() < deadline, "control job never reported"
+            time.sleep(0.05)
+        assert list(tracker.getJobIdsForGroup("no-spark-probe")) == []
+    finally:
+        sc.setJobGroup(None, None)

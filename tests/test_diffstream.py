@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.collection import from_edge_sets
-from repro.core.diffstream import diff_counts, diff_stream, view_sizes
+from repro.core.diffstream import collect_stream, diff_counts, diff_stream, view_sizes
 from repro.core.ebm import BITS
 from repro.datasets import call_graph
 from repro.gvdl import parse_predicate, to_spark_column
@@ -44,17 +44,18 @@ def test_figure5_difference_stream(figure5_ebm):
 
 
 def test_figure5_diff_counts(figure5_ebm):
-    assert diff_counts(figure5_ebm, [0, 1, 2]) == [3, 4, 3]
+    assert diff_counts(collect_stream(figure5_ebm, [0, 1, 2]), 3) == [3, 4, 3]
 
 
 def test_figure5_view_sizes(figure5_ebm):
-    assert view_sizes(figure5_ebm, [0, 1, 2]) == [3, 1, 4]
+    assert view_sizes(collect_stream(figure5_ebm, [0, 1, 2]), 3) == [3, 1, 4]
 
 
 def test_diff_counts_under_reorder(figure5_ebm):
     # ordering [2, 0, 1]: first view = column 2
-    assert view_sizes(figure5_ebm, [2, 0, 1]) == [4, 3, 1]
-    counts = diff_counts(figure5_ebm, [2, 0, 1])
+    stream = collect_stream(figure5_ebm, [2, 0, 1])
+    assert view_sizes(stream, 3) == [4, 3, 1]
+    counts = diff_counts(stream, 3)
     assert counts[0] == 4
 
 

@@ -73,6 +73,14 @@ def test_pagerank_sink_floor():
     assert abs(r[0] - 0.15) < 1e-12
 
 
+def test_pagerank_edgeless_view():
+    # no edges: every rank is the teleport term 1-d
+    e = edges_of([])
+    r = ref_pagerank(e, [0, 1, 2], iters=10, damping=0.85)
+    assert set(r) == {0, 1, 2}
+    assert all(abs(v - 0.15) < 1e-12 for v in r.values())
+
+
 def test_scc_cycle_plus_tail():
     e = edges_of([(0, 1), (1, 2), (2, 0), (2, 3)])
     comp = ref_scc(e, [0, 1, 2, 3])

@@ -78,7 +78,7 @@ def test_optimizer_beats_random_orders(spark):
 def test_order_diff_count_matches_diffstream(spark):
     """order_diff_count (from the Hamming matrix) must equal the actual
     materialized difference-stream size."""
-    from repro.core.diffstream import diff_counts
+    from repro.core.diffstream import collect_stream, diff_counts
 
     nodes, edges = call_graph()
     store = GraphStore(spark, nodes, edges, name="Calls")
@@ -86,7 +86,7 @@ def test_order_diff_count_matches_diffstream(spark):
     cols = [to_spark_column(parse_predicate(p)) for p in preds]
     ebm = compute_ebm(store, cols).cache()
     order, d = optimize_order(ebm, 3)
-    assert order_diff_count(d, order) == sum(diff_counts(ebm, order))
+    assert order_diff_count(d, order) == sum(diff_counts(collect_stream(ebm, order), 3))
 
 
 def test_path_direction_choice(inclusion_ebm):
