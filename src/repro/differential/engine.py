@@ -15,10 +15,11 @@ Execution modes (both through :func:`run_view`):
   out-neighbours of vertices whose value changed at i−1. This matches the
   paper's observation (§5) that "running from scratch" still shares
   computation *across iterations* because the program stays differential.
-- **advance** (``prev`` = the previous view's :class:`RunResult`): replays
-  the trajectory against the new view's edges, recomputing only *affected*
-  vertices — dst endpoints of the edge diff δ (every iteration) plus
-  out-neighbours of vertices whose value diverged from the old trajectory.
+- **advance** (``prev`` = the previous view's :class:`RunResult`, plus the
+  edge diff δ): replays the trajectory against the new view's edges,
+  recomputing only *affected* vertices — endpoints of δ (every iteration)
+  plus out-neighbours of vertices whose value diverged from the old
+  trajectory.
   Unaffected vertices inherit the old trajectory value without any work,
   which is DD's "empty input differences ⇒ empty output differences".
 
@@ -207,7 +208,6 @@ class RunResult:
     run metrics. ``history[i]`` is the exact iteration-i state."""
 
     spec: AlgoSpec
-    view: ViewEdges
     idx: pd.Index
     history: list[np.ndarray]
     deg: np.ndarray | None
@@ -408,28 +408,16 @@ def _aggregate(
 
 
 def _effective_delta_dirty(
-    spec: AlgoSpec,
-    idx: pd.Index,
-    prev_view: ViewEdges,
-    new_view: ViewEdges,
-    delta_pd: pd.DataFrame | None,
+    spec: AlgoSpec, idx: pd.Index, delta_pd: pd.DataFrame
 ) -> np.ndarray:
     """Positions affected by the edge diff at *every* iteration: dst
-    endpoints of δ. For undirected specs δ is recomputed in symmetrized
-    space (a symmetrized delta is not the delta of symmetrized views)."""
-    if spec.undirected or delta_pd is None:
-        a = prev_view.pd[["src", "dst", "weight"]]
-        b = new_view.pd[["src", "dst", "weight"]]
-        m = a.merge(b, on=["src", "dst", "weight"], how="outer", indicator=True)
-        dd = m[m["_merge"] != "both"]
-        dsts = dd["dst"].drop_duplicates()
-    else:
-        dsts = delta_pd["dst"].drop_duplicates()
+    endpoints of δ. Undirected specs add δ's src endpoints: an edge (a, b)
+    of the symmetrized view changes only if δ holds (a, b) or (b, a), so
+    this covers the symmetrized view's diff."""
+    cols = ["dst", "src"] if spec.undirected else ["dst"]
+    dsts = pd.unique(delta_pd[cols].to_numpy().ravel())
     if isinstance(idx, pd.MultiIndex):
-        qs = idx.get_level_values(1).unique()
-        keys = pd.MultiIndex.from_product([dsts, qs])
-        pos = idx.get_indexer(keys)
-        return np.unique(pos[pos >= 0])
+        dsts = pd.MultiIndex.from_product([dsts, idx.get_level_values(1).unique()])
     pos = idx.get_indexer(dsts)
     return np.unique(pos[pos >= 0])
 
@@ -446,8 +434,11 @@ def run_view(
     local_threshold: int = LOCAL_AGG_THRESHOLD,
 ) -> RunResult:
     """Run ``spec`` on ``view`` — from scratch (``prev=None``) or
-    differentially against the previous view's trajectory."""
+    differentially against the previous view's trajectory, which needs
+    ``delta_pd`` (δC_t): the only input describing how the edges changed."""
     t_start = time.perf_counter()
+    if prev is not None and delta_pd is None:
+        raise ValueError("advance needs the edge diff delta_pd")
     if prev is not None and prev.spec is not spec and prev.spec.name != spec.name:
         raise ValueError("advance must reuse the same algorithm spec")
     idx = prev.idx if prev is not None else spec.build_index(vertices)
@@ -467,7 +458,7 @@ def run_view(
         dirty = np.empty(0, dtype="int64")
         changed = None  # sentinel: "everything" (first scratch round)
     else:
-        dirty = _effective_delta_dirty(spec, idx, prev.view, view, delta_pd)
+        dirty = _effective_delta_dirty(spec, idx, delta_pd)
         if spec.uses_degree:
             # A vertex whose out-degree changed emits different messages at
             # *every* iteration (msg = f(val, deg)), so its out-neighbours
@@ -565,7 +556,6 @@ def run_view(
 
     return RunResult(
         spec=spec,
-        view=view,
         idx=idx,
         history=states,
         deg=deg,

@@ -168,7 +168,6 @@ class SCC:
             raise RuntimeError("SCC did not converge (max_rounds exceeded)")
         return RunResult(
             spec=self,  # type: ignore[arg-type]
-            view=view,
             idx=idx,
             history=[scc_id],
             deg=None,

@@ -6,9 +6,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.collection import from_edge_sets
 from repro.datasets import social_graph
 from repro.differential.algorithms import BFS, MPSP, BellmanFord, PageRank, WCC
-from repro.differential.engine import ViewEdges, engine_conf, run_view
+from repro.differential.engine import (
+    LOCAL_AGG_THRESHOLD,
+    ViewEdges,
+    engine_conf,
+    run_view,
+)
 from repro.graph_oracle import ref_bfs, ref_pagerank, ref_sssp, ref_wcc
 
 
@@ -32,18 +38,28 @@ def make_sequence(seed, n_views=4, n_add=25, n_remove=25):
     return nodes, seq
 
 
-def run_sequence(spark, nodes, seq, spec_fn):
-    """Returns (advance_results, scratch_results, advance_affected)."""
+def delta(spark, nodes, e0, e1):
+    """δ from the edge set ``e0`` to ``e1``, as the executor feeds it."""
+    return from_edge_sets(spark, "delta", [e0, e1], nodes).delta_pd(1)
+
+
+def run_sequence(spark, nodes, seq, spec_fn, local_threshold=LOCAL_AGG_THRESHOLD):
+    """Returns (advance_results, scratch_results, advance_affected); the
+    advances place their rounds by ``local_threshold``."""
+    coll = from_edge_sets(spark, "seq", seq, nodes)
     adv_finals, scr_finals, adv_aff = [], [], []
     with engine_conf(spark):
         prev = None
-        for edges in seq:
+        for t, edges in enumerate(seq):
             spec = spec_fn()
             view = ViewEdges(spark, edges, undirected=spec.undirected)
             if prev is None:
                 adv = run_view(spark, view, spec, nodes[["vid"]])
             else:
-                adv = run_view(spark, view, spec, nodes[["vid"]], prev=prev)
+                adv = run_view(
+                    spark, view, spec, nodes[["vid"]], prev=prev,
+                    delta_pd=coll.delta_pd(t), local_threshold=local_threshold,
+                )
             scr = run_view(spark, view, spec_fn(), nodes[["vid"]])
             adv_finals.append(adv.final())
             scr_finals.append(scr.final())
@@ -61,12 +77,25 @@ SPECS = {
 }
 
 
-@pytest.mark.parametrize("algo", list(SPECS))
-@pytest.mark.parametrize("seed", [1, 2])
-def test_advance_equals_scratch(spark, algo, seed):
+# Both seeds with the default placement, where most advance rounds run at
+# the driver; one seed per algorithm with local_threshold=0, which places
+# every advance round in Spark.
+@pytest.mark.parametrize(
+    "seed,algo,local_threshold",
+    [
+        pytest.param(seed, algo, LOCAL_AGG_THRESHOLD, id=f"{seed}-{algo}")
+        for algo in SPECS
+        for seed in (1, 2)
+    ]
+    + [
+        pytest.param(seed, algo, 0, id=f"spark-{seed}-{algo}")
+        for seed, algo in zip((1, 2, 1, 2, 1), SPECS)
+    ],
+)
+def test_advance_equals_scratch(spark, seed, algo, local_threshold):
     nodes, seq = make_sequence(seed)
     src = int(seq[0].src.value_counts().idxmax())
-    adv, scr, _ = run_sequence(spark, nodes, seq, SPECS[algo](src))
+    adv, scr, _ = run_sequence(spark, nodes, seq, SPECS[algo](src), local_threshold)
     for t, (a, s) in enumerate(zip(adv, scr)):
         assert np.allclose(a, s, equal_nan=True), f"{algo} view {t}"
 
@@ -101,7 +130,10 @@ def test_identical_view_costs_nothing(spark):
     with engine_conf(spark):
         view = ViewEdges(spark, edges)
         prev = run_view(spark, view, BFS(src), nodes[["vid"]])
-        adv = run_view(spark, view, BFS(src), nodes[["vid"]], prev=prev)
+        adv = run_view(
+            spark, view, BFS(src), nodes[["vid"]], prev=prev,
+            delta_pd=delta(spark, nodes, edges, edges),
+        )
     assert adv.affected_total == 0
     assert adv.spark_jobs == 0
     assert np.array_equal(adv.final(), prev.final())
@@ -114,7 +146,10 @@ def test_small_diff_touches_few_states(spark):
         v0 = ViewEdges(spark, seq[0])
         prev = run_view(spark, v0, BellmanFord(src), nodes[["vid"]])
         v1 = ViewEdges(spark, seq[1])
-        adv = run_view(spark, v1, BellmanFord(src), nodes[["vid"]], prev=prev)
+        adv = run_view(
+            spark, v1, BellmanFord(src), nodes[["vid"]], prev=prev,
+            delta_pd=delta(spark, nodes, seq[0], seq[1]),
+        )
         scr = run_view(spark, v1, BellmanFord(src), nodes[["vid"]])
     assert adv.affected_total < scr.affected_total
 
@@ -130,7 +165,10 @@ def test_deletion_only_view(spark):
         v0 = ViewEdges(spark, e0)
         prev = run_view(spark, v0, BellmanFord(0), nodes[["vid"]])
         v1 = ViewEdges(spark, e1)
-        adv = run_view(spark, v1, BellmanFord(0), nodes[["vid"]], prev=prev)
+        adv = run_view(
+            spark, v1, BellmanFord(0), nodes[["vid"]], prev=prev,
+            delta_pd=delta(spark, nodes, e0, e1),
+        )
     got = adv.final_pd().set_index("vid")["val"].to_dict()
     ref = ref_sssp(e1, 0, list(nodes.vid))
     assert got == ref
@@ -146,7 +184,10 @@ def test_disconnecting_component(spark):
     with engine_conf(spark):
         v0 = ViewEdges(spark, e0)
         prev = run_view(spark, v0, BFS(0), nodes[["vid"]])
-        adv = run_view(spark, ViewEdges(spark, e1), BFS(0), nodes[["vid"]], prev=prev)
+        adv = run_view(
+            spark, ViewEdges(spark, e1), BFS(0), nodes[["vid"]], prev=prev,
+            delta_pd=delta(spark, nodes, e0, e1),
+        )
     got = adv.final_pd().set_index("vid")["val"].to_dict()
     assert got == {0: 0.0, 1: float("inf"), 2: float("inf"), 3: float("inf")}
 
@@ -160,7 +201,10 @@ def test_advance_longer_horizon(spark):
     )
     with engine_conf(spark):
         prev = run_view(spark, ViewEdges(spark, e0), BFS(0), nodes[["vid"]])
-        adv = run_view(spark, ViewEdges(spark, chain), BFS(0), nodes[["vid"]], prev=prev)
+        adv = run_view(
+            spark, ViewEdges(spark, chain), BFS(0), nodes[["vid"]], prev=prev,
+            delta_pd=delta(spark, nodes, e0, chain),
+        )
     got = adv.final_pd().set_index("vid")["val"].to_dict()
     assert got == {i: float(i) for i in range(6)}
     assert adv.iters > prev.iters
@@ -175,11 +219,40 @@ def test_degree_change_propagates_for_pagerank(spark):
     with engine_conf(spark):
         prev = run_view(spark, ViewEdges(spark, e0), PageRank(iters=8), nodes[["vid"]])
         adv = run_view(
-            spark, ViewEdges(spark, e1), PageRank(iters=8), nodes[["vid"]], prev=prev
+            spark, ViewEdges(spark, e1), PageRank(iters=8), nodes[["vid"]], prev=prev,
+            delta_pd=delta(spark, nodes, e0, e1),
         )
     got = adv.final_pd().set_index("vid")["val"].to_dict()
     ref = ref_pagerank(e1, list(nodes.vid), iters=8)
     assert all(abs(got[k] - v) < 1e-12 for k, v in ref.items())
+
+
+def test_wcc_advance_from_delta_with_reverse_edges(spark):
+    """Undirected advance reads only δ: its dirty set is δ's endpoints.
+    Views: drop (1,0) while (0,1) stays; add (3,2) whose reverse (2,3)
+    exists; add (3,1) with no reverse, which changes only its src's label;
+    then drop (3,1) again."""
+    nodes = pd.DataFrame({"vid": range(6)})
+    e0 = pd.DataFrame({"src": [0, 1, 2, 4], "dst": [1, 0, 3, 5], "weight": 1.0})
+    e1 = e0.drop(index=1).reset_index(drop=True)
+    e2 = pd.concat([e1, pd.DataFrame({"src": [3], "dst": [2], "weight": 1.0})])
+    e3 = pd.concat([e2, pd.DataFrame({"src": [3], "dst": [1], "weight": 1.0})])
+    seq = [e.reset_index(drop=True) for e in (e0, e1, e2, e3, e2)]
+    adv, scr, _ = run_sequence(spark, nodes, seq, WCC)
+    for t, edges in enumerate(seq):
+        ref = ref_wcc(edges, list(nodes.vid))
+        want = np.array([float(ref[v]) for v in sorted(ref)])
+        assert np.array_equal(adv[t], want), f"view {t}"
+        assert np.array_equal(scr[t], want), f"view {t}"
+
+
+def test_advance_requires_delta(spark):
+    nodes, seq = make_sequence(9, n_views=1)
+    with engine_conf(spark):
+        view = ViewEdges(spark, seq[0])
+        prev = run_view(spark, view, BFS(0), nodes[["vid"]])
+        with pytest.raises(ValueError, match="delta_pd"):
+            run_view(spark, view, BFS(0), nodes[["vid"]], prev=prev)
 
 
 def test_advance_requires_same_spec(spark):
@@ -188,7 +261,10 @@ def test_advance_requires_same_spec(spark):
         view = ViewEdges(spark, seq[0])
         prev = run_view(spark, view, WCC(), nodes[["vid"]])
         with pytest.raises(ValueError):
-            run_view(spark, view, BFS(0), nodes[["vid"]], prev=prev)
+            run_view(
+                spark, view, BFS(0), nodes[["vid"]], prev=prev,
+                delta_pd=delta(spark, nodes, seq[0], seq[0]),
+            )
 
 
 def test_chained_advances_stay_exact(spark):

@@ -7,7 +7,12 @@ import pytest
 
 from repro.datasets import social_graph
 from repro.differential.algorithms import BFS, MPSP, BellmanFord, PageRank, WCC
-from repro.differential.engine import ViewEdges, engine_conf, run_view
+from repro.differential.engine import (
+    LOCAL_AGG_THRESHOLD,
+    ViewEdges,
+    engine_conf,
+    run_view,
+)
 from repro.graph_oracle import (
     bfs_sql,
     ref_bfs,
@@ -35,10 +40,10 @@ def source(graph):
     return int(edges.src.value_counts().idxmax())
 
 
-def run(spark, edges, spec, nodes):
+def run(spark, edges, spec, nodes, local_threshold=LOCAL_AGG_THRESHOLD):
     with engine_conf(spark):
         v = ViewEdges(spark, edges, undirected=spec.undirected)
-        res = run_view(spark, v, spec, nodes[["vid"]])
+        res = run_view(spark, v, spec, nodes[["vid"]], local_threshold=local_threshold)
         v.unpersist()
     return res
 
@@ -86,6 +91,29 @@ def test_mpsp_matches_dijkstra(spark, graph, source):
     got = spec.pair_distances(res)
     ref = ref_mpsp(edges, pairs, list(nodes.vid))
     assert all(a == b or abs(a - b) < 1e-9 for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("algo", ["WCC", "BFS", "BF", "PR", "MPSP"])
+def test_spark_placed_rounds_match_references(spark, graph, source, algo):
+    """local_threshold=0 runs every round as a Spark job; the tests above
+    use the default, which runs every round after the first at the driver
+    on this graph."""
+    nodes, edges = graph
+    vids = list(nodes.vid)
+    pairs = [(source, 3), (source, 77), (11, 50), (5, source)]
+    spec, ref = {
+        "WCC": (WCC(), lambda: {k: float(v) for k, v in ref_wcc(edges, vids).items()}),
+        "BFS": (BFS(source), lambda: ref_bfs(edges, source, vids)),
+        "BF": (BellmanFord(source), lambda: ref_sssp(edges, source, vids)),
+        "PR": (PageRank(iters=3), lambda: ref_pagerank(edges, vids, iters=3)),
+        "MPSP": (MPSP(pairs), lambda: dict(enumerate(ref_mpsp(edges, pairs, vids)))),
+    }[algo]
+    res = run(spark, edges, spec, nodes, local_threshold=0)
+    got = dict(enumerate(spec.pair_distances(res))) if algo == "MPSP" else as_dict(res)
+    want = ref()
+    assert res.spark_jobs > 1
+    assert got.keys() == want.keys()
+    assert np.allclose([got[k] for k in want], list(want.values()), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,8 +1,11 @@
 """Analytics Computation Executor tests (paper §3.2.2 + §5)."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core.executor as executor
 from repro.core.collection import from_edge_sets
 from repro.core.executor import run_collection
 from repro.datasets import social_graph
@@ -87,6 +90,36 @@ def test_stats_recorded(coll, source):
     assert s.delta_size == coll.diff_counts[2]
     assert s.seconds > 0
     assert rep.total_seconds == pytest.approx(sum(x.seconds for x in rep.stats))
+
+
+def test_views_built_in_their_timed_region_and_released(coll, source, monkeypatch):
+    """Each view is built inside its own ViewStat.seconds, released exactly
+    once, and at most two views are cached at a time (warm-up included)."""
+    pause = 0.2
+    built, alive, peak = [], set(), []
+
+    class SlowViewEdges(executor.ViewEdges):
+        def __init__(self, *args, **kwargs):
+            time.sleep(pause)
+            super().__init__(*args, **kwargs)
+            self.released = 0
+            built.append(self)
+            alive.add(id(self))
+            peak.append(len(alive))
+
+        def unpersist(self):
+            self.released += 1
+            alive.discard(id(self))
+            super().unpersist()
+
+    monkeypatch.setattr(executor, "ViewEdges", SlowViewEdges)
+    rep = run_collection(
+        coll, BFS(source), "adaptive", ell=2, keep_results=False, warmup=True
+    )
+    assert all(s.seconds >= pause for s in rep.stats)
+    assert len(built) == coll.k + 1  # the warm-up builds its own view 0
+    assert [v.released for v in built] == [1] * len(built)
+    assert max(peak) <= 2
 
 
 def test_unknown_strategy(coll):
