@@ -3,23 +3,24 @@ materialized-collection handle the Analytics Computation Executor consumes.
 
 ``materialize_collection`` runs the three-step pipeline:
 
-1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix (a lazy Spark
-   frame, evaluated by the first pass that reads it);
+1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix, evaluated and
+   collected to the driver by :func:`repro.core.ebm.collect_ebm` (only the
+   edges in at least one view);
 2. :func:`repro.core.ordering.optimize_order` — CBMP_1.5 ordering
-   (Spark Hamming pass + driver Christofides), or a user/"given" order;
-3. :func:`repro.core.diffstream.collect_stream` — the edge difference
-   stream, one Spark pass collected to the driver (the paper's collection
-   creation time, CCT, covers exactly these steps).
+   (Algorithm 1's Hamming matrix over the collected bits + Christofides),
+   or a user/"given" order;
+3. :func:`repro.core.diffstream.flips` — the edge difference stream of the
+   collected bits in that order (the paper's collection creation time,
+   CCT, covers exactly these steps).
 
-So creation makes one Spark pass over the EBM for ``"given"`` and explicit
-orders and two for ``"optimize"``, and caches the EBM only while it is
-read twice. :class:`MaterializedCollection` keeps the collected stream,
-sorted by t, as the driver-side arrangement: view sizes, diff counts, each
-δC_t (a slice) and each view's edge set (a replay of δC_0..δC_t) are read
-from it without a Spark job. Artificial collections built from explicit
-edge sets (paper §5's controlled experiment, our Table 2) go through
-:func:`from_edge_sets`, which runs the same flips kernel on driver-side
-bits, so every collection takes the same code path downstream.
+So creation makes one Spark action for every order and caches nothing.
+:class:`MaterializedCollection` keeps the stream, sorted by t, as the
+driver-side arrangement: view sizes, diff counts, each δC_t (a slice) and
+each view's edge set (a replay of δC_0..δC_t) are read from it without a
+Spark job. Artificial collections built from explicit edge sets (paper
+§5's controlled experiment, our Table 2) go through :func:`from_edge_sets`,
+which builds the bits at the driver and then takes the same steps 2–3, so
+every collection takes the same code path downstream.
 """
 from __future__ import annotations
 
@@ -28,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, SparkSession
 
 from repro.core import diffstream as ds
-from repro.core.ebm import compute_ebm
+from repro.core.ebm import collect_ebm, compute_ebm
 from repro.core.ordering import optimize_order
 from repro.gvdl import parse, to_spark_column
 from repro.gvdl.parser import ViewCollectionDef
@@ -103,26 +104,22 @@ class MaterializedCollection:
         return rows[["src", "dst", "weight", "sign"]].reset_index(drop=True)
 
     def unpersist(self) -> None:
-        """Release the collection. Creation already released the EBM and the
-        stream lives at the driver, so there is nothing cached in Spark."""
+        """Release the collection. Creation caches nothing in Spark and the
+        stream lives at the driver, so there is nothing to release."""
 
 
 def _finish(
     spark: SparkSession,
     name: str,
     names_by_col: list[str],
-    ebm: DataFrame,
+    edges: pd.DataFrame,
+    bits: np.ndarray,
     vertices: pd.DataFrame,
     order,
     cct: dict,
 ) -> MaterializedCollection:
-    """Order the views, then collect the EBM's difference stream once.
-
-    The first pass to read the (lazy) EBM evaluates it, so its cost lands
-    in ``cct["ordering"]`` for ``"optimize"`` and in ``cct["diffstream"]``
-    otherwise. Only ``"optimize"`` reads the EBM twice, so only it caches
-    the EBM, and releases it before returning.
-    """
+    """Order the views of the collected EBM ``bits`` (one row per edge of
+    ``edges``), then derive the difference stream from the same bits."""
     k = len(names_by_col)
     optimize = isinstance(order, str) and order == "optimize"
     if isinstance(order, str) and order == "given":
@@ -132,20 +129,14 @@ def _finish(
         if sorted(order) != list(range(k)):
             raise ValueError("explicit order must be a permutation of views")
     hamming = None
+    t0 = time.perf_counter()
     if optimize:
-        ebm.cache()
-    try:
-        t0 = time.perf_counter()
-        if optimize:
-            order, hamming = optimize_order(ebm, k)
-        cct["ordering"] = time.perf_counter() - t0
+        order, hamming = optimize_order(bits)
+    cct["ordering"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        stream = ds.collect_stream(ebm, order)
-        cct["diffstream"] = time.perf_counter() - t0
-    finally:
-        if optimize:
-            ebm.unpersist()
+    t0 = time.perf_counter()
+    stream = ds.sort_stream(ds.flips(edges, bits, order))
+    cct["diffstream"] = time.perf_counter() - t0
     cct["total"] = sum(cct.values())
     return MaterializedCollection(
         spark=spark,
@@ -173,12 +164,19 @@ def materialize_collection(
     order, e.g. Listing 3's D1..D34), or an explicit permutation (used for
     the random-order baselines R1–R3 in Table 4).
     """
-    cct: dict = {}
     t0 = time.perf_counter()
     ebm = compute_ebm(store, [c for _, c in views], weight_col=weight_col)
-    cct["ebm"] = time.perf_counter() - t0  # planning only; see _finish
+    edges, bits = collect_ebm(ebm, len(views))
+    cct = {"ebm": time.perf_counter() - t0}
     return _finish(
-        store.spark, name, [n for n, _ in views], ebm, store.vertices(), order, cct
+        store.spark,
+        name,
+        [n for n, _ in views],
+        edges,
+        bits,
+        store.vertices(),
+        order,
+        cct,
     )
 
 
@@ -210,10 +208,11 @@ def from_edge_sets(
     """Build a collection from explicit per-view edge sets (src, dst[, weight]).
 
     Builds the EBM's bits over the union universe of all edges at the
-    driver and runs the same flips kernel as :func:`diffstream.diff_stream`
-    on them, so artificial collections (paper §5's controlled experiment)
-    flow through the same executor path as predicate-defined ones without a
-    Spark job. Views keep the given order.
+    driver and takes the same ordering and stream steps as
+    :func:`materialize_collection` on them, so artificial collections
+    (paper §5's controlled experiment) flow through the same executor path
+    as predicate-defined ones without a Spark job. Views keep the given
+    order.
     """
     k = len(edge_sets)
     names = names or [f"V{t}" for t in range(k)]
@@ -240,18 +239,5 @@ def from_edge_sets(
         pd.MultiIndex.from_arrays([allp.src, allp.dst, allp.weight])
     ].to_numpy()
     bits[rows, allp["_t"].to_numpy()] = True
-    cct = {"ebm": time.perf_counter() - t0, "ordering": 0.0}
-    t0 = time.perf_counter()
-    order = list(range(k))
-    stream = ds.sort_stream(ds.flips(uni, bits, order))
-    cct["diffstream"] = time.perf_counter() - t0
-    cct["total"] = sum(cct.values())
-    return MaterializedCollection(
-        spark=spark,
-        name=name,
-        names=names,
-        order=order,
-        stream=stream,
-        vertices=vertices,
-        cct=cct,
-    )
+    cct = {"ebm": time.perf_counter() - t0}
+    return _finish(spark, name, names, uni, bits, vertices, "given", cct)

@@ -3,29 +3,17 @@
 Treat the ordered view collection as an evolving input: δC_t contains edge
 e with multiplicity +1 if e enters at view t, −1 if it leaves, 0 otherwise
 (with δC_0 = the first view itself, i.e. every edge of GV_0 enters at t=0).
-Per-edge contributions are independent — one embarrassingly parallel pass
-(:func:`diff_stream`), collected once (:func:`collect_stream`). Everything
-else about the collection — |δC_t|, |GV_t|, each δC_t and each view's edge
-set — follows from the collected stream at the driver.
+Per-edge contributions are independent, so :func:`flips` computes them from
+the EBM bits collected at the driver in one vectorized step, and
+:func:`sort_stream` sorts them by t. Everything else about the collection —
+|δC_t|, |GV_t|, each δC_t and each view's edge set — follows from the
+stream at the driver.
 """
 from __future__ import annotations
 
-import sys
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
-from pyspark import cloudpickle
-from pyspark.sql import DataFrame
 
-from repro.core.ebm import BITS
-
-# Spark's Python workers need not be able to import ``repro`` (it may be on
-# the driver's sys.path only), so this module's functions that run inside
-# Spark tasks are shipped by value, as nested functions always are.
-cloudpickle.register_pickle_by_value(sys.modules[__name__])
-
-DIFF_SCHEMA = "t int, eid long, src long, dst long, weight double, sign int"
 DIFF_DTYPES = {
     "t": "int32",
     "eid": "int64",
@@ -58,31 +46,11 @@ def flips(edges: pd.DataFrame, bits: np.ndarray, order) -> pd.DataFrame:
     )
 
 
-def diff_stream(ebm: DataFrame, order: list[int]) -> DataFrame:
-    """Materialize the difference stream ``(t, eid, src, dst, weight, sign)``
-    for the views of ``ebm`` taken in ``order``."""
-    order = list(order)
-
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf):
-                yield flips(pdf, np.vstack(pdf[BITS].to_numpy()), order)
-
-    return ebm.mapInPandas(kernel, schema=DIFF_SCHEMA)
-
-
 def sort_stream(stream: pd.DataFrame) -> pd.DataFrame:
     """The stream with fixed dtypes, sorted by ``(t, eid)``."""
     stream = stream.astype(DIFF_DTYPES)
     rank = np.lexsort((stream["eid"].to_numpy(), stream["t"].to_numpy()))
     return stream.iloc[rank].reset_index(drop=True)
-
-
-def collect_stream(ebm: DataFrame, order: list[int]) -> pd.DataFrame:
-    """Run :func:`diff_stream` once and bring it to the driver, sorted by
-    ``(t, eid)``. This pass is the only one that evaluates the EBM when
-    nothing read it before."""
-    return sort_stream(diff_stream(ebm, order).toPandas())
 
 
 def diff_counts(stream: pd.DataFrame, k: int) -> list[int]:

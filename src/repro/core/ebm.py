@@ -3,10 +3,14 @@
 For each edge e and each view predicate p_j, the EBM records whether e
 satisfies p_j (paper §3.2.1, Figure 5a). This is embarrassingly parallel:
 one Spark pass over the edge-view frame evaluating all k predicates into a
-``bits`` array column.
+``bits`` array column. :func:`collect_ebm` brings the rows of edges in at
+least one view to the driver in that one pass; ordering and the difference
+stream are computed from the collected bits.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -45,3 +49,15 @@ def compute_ebm(
         w.alias("weight"),
         bits,
     )
+
+
+def collect_ebm(ebm: DataFrame, k: int) -> tuple[pd.DataFrame, np.ndarray]:
+    """Collect the EBM rows of edges in at least one view, in one Spark
+    action: the frame ``(eid, src, dst, weight)`` and its ``(n, k)`` bool
+    matrix of bits. Edges in no view add nothing to any view, δ or Hamming
+    distance, so they are dropped before the collect."""
+    pdf = ebm.where(F.exists(BITS, lambda b: b)).toPandas()
+    bits = np.zeros((len(pdf), k), dtype=bool)
+    if len(pdf):
+        bits[:] = np.vstack(pdf.pop(BITS).to_numpy()).astype(bool)
+    return pdf[["eid", "src", "dst", "weight"]], bits

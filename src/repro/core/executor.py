@@ -12,10 +12,12 @@ with one of three strategies:
 Each view's edge set and each δC_t come from the collection's difference
 stream, collected to the driver at creation: a view is a replay of the
 stream up to t and δC_t a slice of it, so neither starts a Spark job.
-View t is built (a cached Spark frame) when its turn comes, inside its
-timed region, so each per-view wall time covers everything that view costs
-and the §5 splitter prices the work it chooses between; the view before it
-is released once view t has run, so at most two views are cached.
+View t is built when its turn comes, inside its timed region, so each
+per-view wall time covers everything that view costs and the §5 splitter
+prices the work it chooses between. A view's Spark frame is built only if
+one of its rounds is placed in Spark (engine ``local_threshold``); the
+view before it is released once view t has run, so at most two views are
+cached.
 """
 from __future__ import annotations
 

@@ -1,59 +1,49 @@
 """Step 2: collection ordering (paper §4, Algorithm 1).
 
-Given the EBM, pad a zero column, compute pairwise Hamming distances
-between the (k+1) columns in an embarrassingly parallel Spark pass —
-each partition computes the partial matrix ``Cᵀ(U−C) + (U−C)ᵀC`` exactly
-as in Algorithm 1 — sum the partials at the driver ("worker w₀"), and run
-Christofides on the resulting clique. The tour is rotated so the padded
-zero column comes first; dropping it yields the view ordering, which is a
-1.5-approximation to CBMP and hence a 3-approximation to COP (Theorem 4.1
-and the discussion following it).
+Given the EBM's bits collected at the driver, pad a zero column, compute
+pairwise Hamming distances between the (k+1) columns — summing, over fixed
+blocks of rows, the partial matrix ``Cᵀ(U−C) + (U−C)ᵀC`` exactly as
+Algorithm 1's workers do — and run Christofides on the resulting clique.
+The tour is rotated so the padded zero column comes first; dropping it
+yields the view ordering, which is a 1.5-approximation to CBMP and hence a
+3-approximation to COP (Theorem 4.1 and the discussion following it).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
-from repro.core.ebm import BITS
 from repro.core.tsp import christofides, two_opt
 
 
-def hamming_matrix(ebm: DataFrame, k: int) -> np.ndarray:
-    """(k+1)×(k+1) Hamming distance matrix of the zero-padded EBM columns.
+def hamming_matrix(bits: np.ndarray) -> np.ndarray:
+    """(k+1)×(k+1) Hamming distance matrix of the zero-padded columns of
+    the ``(n, k)`` bool matrix ``bits``.
 
-    Row/column 0 is the padded all-zero column; column j+1 is view j.
+    Row/column 0 is the padded all-zero column; column j+1 is view j. Rows
+    are taken in blocks, so memory beyond ``bits`` stays O(block·k).
     """
+    n, k = bits.shape
     kk = k + 1
-
-    def partial(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        acc = np.zeros((kk, kk), dtype="int64")
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            c = np.zeros((len(pdf), kk), dtype="float64")
-            c[:, 1:] = np.vstack(pdf[BITS].to_numpy()).astype("float64")
-            # Algorithm 1: D_i = C_iᵀ(U − C_i) + (U − C_i)ᵀ C_i
-            nc = 1.0 - c
-            acc += (c.T @ nc + nc.T @ c).astype("int64")
-        yield pd.DataFrame({"d": [acc.ravel().tolist()]})
-
-    parts = ebm.select(BITS).mapInPandas(partial, schema="d array<long>").collect()
-    d = np.zeros(kk * kk, dtype="int64")
-    for row in parts:
-        d += np.asarray(row["d"], dtype="int64")
-    return d.reshape(kk, kk)
+    block = 1 << 14
+    acc = np.zeros((kk, kk), dtype="int64")
+    for lo in range(0, n, block):
+        part = bits[lo : lo + block]
+        c = np.zeros((len(part), kk), dtype="float64")
+        c[:, 1:] = part
+        # Algorithm 1: D_i = C_iᵀ(U − C_i) + (U − C_i)ᵀ C_i
+        nc = 1.0 - c
+        acc += (c.T @ nc + nc.T @ c).astype("int64")
+    return acc
 
 
-def optimize_order(ebm: DataFrame, k: int) -> tuple[list[int], np.ndarray]:
-    """Collection-ordering optimizer: returns ``(order, hamming_matrix)``.
+def optimize_order(bits: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Collection-ordering optimizer over the ``(n, k)`` EBM bits: returns
+    ``(order, hamming_matrix)``.
 
     ``order`` is a permutation of view indices 0..k-1 minimizing (approx.)
     the total number of edge differences, first view nearest the empty set.
     """
-    d = hamming_matrix(ebm, k)
+    d = hamming_matrix(bits)
     tour = two_opt(d.astype("float64"), christofides(d.astype("float64")))
     zi = tour.index(0)
     rotated = tour[zi:] + tour[:zi]  # zero column first
@@ -63,12 +53,7 @@ def optimize_order(ebm: DataFrame, k: int) -> tuple[list[int], np.ndarray]:
     # the zero column) has the smaller total difference count.
     fwd = order
     bwd = order[::-1]
-
-    def path_cost(o: list[int]) -> int:
-        cols = [0] + [v + 1 for v in o]
-        return int(sum(d[cols[i], cols[i + 1]] for i in range(len(o))))
-
-    return (fwd if path_cost(fwd) <= path_cost(bwd) else bwd), d
+    return (fwd if order_diff_count(d, fwd) <= order_diff_count(d, bwd) else bwd), d
 
 
 def order_diff_count(d: np.ndarray, order: list[int]) -> int:

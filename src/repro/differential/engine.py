@@ -23,11 +23,15 @@ Execution modes (both through :func:`run_view`):
   Unaffected vertices inherit the old trajectory value without any work,
   which is DD's "empty input differences ⇒ empty output differences".
 
-Work placement: per-iteration message generation and aggregation — the
-O(E)-per-round dataflow — run as Spark DataFrame jobs over the view's
-cached edge stream; trajectories are NumPy arrays over a fixed vertex index
-and the affected-set bookkeeping uses a driver-side pandas copy of the edge
-list (DD's in-memory arrangements; DESIGN.md §2).
+Work placement: each round's message generation and aggregation — the
+join of the feeding edges with the state, then a groupBy — runs where its
+size calls for. A round whose edges (the whole view for a scratch run's
+first round, the in-edges of the affected set otherwise) number at most
+``local_threshold`` runs at the driver over the view's pandas edges;
+larger rounds run as Spark jobs over the view's Spark frame, which is
+built and cached on the first such round. Trajectories are NumPy arrays
+over a fixed vertex index and the affected-set bookkeeping uses CSR
+indices over the pandas edges (DD's in-memory arrangements; DESIGN.md §2).
 """
 from __future__ import annotations
 
@@ -46,14 +50,14 @@ _AGG_FN = {"min": F.min, "max": F.max, "sum": F.sum}
 #: small; the session default of 64 would be pure scheduler overhead).
 ENGINE_SHUFFLE_PARTITIONS = "8"
 
-#: Small-delta fast path: when the in-edge subset feeding one dataflow
-#: round has at most this many rows, the round's aggregate is computed at
-#: the driver (a pandas mirror of the same join+groupBy) instead of
-#: scheduling a Spark job. This is the PySpark equivalent of DD doing
-#: tiny-difference work directly in its in-memory arrangements — without
-#: it, fixed per-job scheduling cost would hide the work-proportional-to-
-#: differences behaviour the paper measures. Large rounds (scratch runs,
-#: saturated affected sets) still execute as Spark dataflow jobs.
+#: Small-round fast path: when the edges feeding one dataflow round number
+#: at most this many, the round's aggregate is computed at the driver (a
+#: pandas mirror of the same join+groupBy) instead of scheduling a Spark
+#: job. This is the PySpark equivalent of DD doing small work directly in
+#: its in-memory arrangements — without it, fixed per-job scheduling cost
+#: would hide the work-proportional-to-differences behaviour the paper
+#: measures. Large rounds (scratch runs over large views, saturated
+#: affected sets) still execute as Spark dataflow jobs.
 LOCAL_AGG_THRESHOLD = 4000
 
 
@@ -80,13 +84,18 @@ class _CSR:
         self.starts = starts
         self.ends = np.append(starts[1:], len(k))
 
+    def find(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit, pos)``: which ``query`` keys are present, and the index in
+        ``uk`` of each present one."""
+        if len(self.uk) == 0:
+            return np.zeros(len(query), dtype=bool), np.empty(0, dtype="int64")
+        pos = np.searchsorted(self.uk, query)
+        hit = (pos < len(self.uk)) & (self.uk[np.minimum(pos, len(self.uk) - 1)] == query)
+        return hit, pos[hit]
+
     def gather(self, query: np.ndarray) -> np.ndarray:
         """Values for every key in ``query`` (absent keys contribute none)."""
-        if len(query) == 0 or len(self.uk) == 0:
-            return np.empty(0, dtype=self.v.dtype)
-        pos = np.searchsorted(self.uk, query)
-        ok = (pos < len(self.uk)) & (self.uk[np.minimum(pos, len(self.uk) - 1)] == query)
-        pos = pos[ok]
+        _, pos = self.find(query)
         if len(pos) == 0:
             return np.empty(0, dtype=self.v.dtype)
         parts = [self.v[s:e] for s, e in zip(self.starts[pos], self.ends[pos])]
@@ -94,7 +103,8 @@ class _CSR:
 
 
 class ViewEdges:
-    """One view's edge stream: a cached Spark frame plus a driver index.
+    """One view's edge stream: pandas edges with driver indices, plus a
+    cached Spark frame built on first use by a Spark-placed round.
 
     ``undirected=True`` symmetrizes the edge set (WCC propagates both ways).
     """
@@ -118,10 +128,17 @@ class ViewEdges:
         e["weight"] = e["weight"].astype("float64")
         self.pd = e.reset_index(drop=True)
         self.undirected = undirected
-        self.sdf: DataFrame = spark.createDataFrame(
-            self.pd, schema="src long, dst long, weight double"
-        ).coalesce(4).cache()
-        self.sdf.count()
+        self._spark = spark
+        self._sdf: DataFrame | None = None
+
+    @property
+    def sdf(self) -> DataFrame:
+        """The edges as a cached Spark frame, built on the first read."""
+        if self._sdf is None:
+            self._sdf = self._spark.createDataFrame(
+                self.pd, schema="src long, dst long, weight double"
+            ).coalesce(4).cache()
+        return self._sdf
 
     @property
     def n_edges(self) -> int:
@@ -148,11 +165,17 @@ class ViewEdges:
 
     def out_degree(self, vids: np.ndarray) -> np.ndarray:
         """Out-degree aligned to ``vids`` (float64, zeros for absent)."""
-        counts = self.pd.groupby("src").size()
-        return counts.reindex(vids, fill_value=0).to_numpy(dtype="float64")
+        adj = self.out_adj
+        hit, pos = adj.find(vids)
+        deg = np.zeros(len(vids), dtype="float64")
+        deg[hit] = adj.ends[pos] - adj.starts[pos]
+        return deg
 
     def unpersist(self) -> None:
-        self.sdf.unpersist()
+        """Release the Spark frame, if a round built it."""
+        if self._sdf is not None:
+            self._sdf.unpersist()
+            self._sdf = None
 
 
 class AlgoSpec:
@@ -374,15 +397,13 @@ def _aggregate(
     idx: pd.Index,
     state: np.ndarray,
     deg: np.ndarray | None,
-    src_pos: np.ndarray | None,
+    src_pos: np.ndarray,
     aff_pos: np.ndarray | None,
 ) -> pd.DataFrame:
     """One dataflow round in Spark: messages = edges ⋈ state, then groupBy
-    aggregation, restricted to affected destinations. Returns a pandas
-    frame (vid[, q], agg)."""
+    aggregation, restricted to affected destinations (``aff_pos``; None
+    keeps every destination). Returns a pandas frame (vid[, q], agg)."""
     key = ["vid", "q"] if spec.keyed else ["vid"]
-    if src_pos is None:
-        src_pos = np.arange(len(idx), dtype="int64")
     if spec.filters_identity:
         vals = state[src_pos]
         src_pos = src_pos[np.isfinite(vals)]
@@ -500,25 +521,23 @@ def run_view(
                 break
             continue
         # ---- one dataflow round -------------------------------------------
-        if aff_pos is None:
-            agg_pd = _aggregate(
-                spark, view, spec, idx, states[it - 1], deg, None, None
-            )
-            jobs += 1
+        whole_view = aff_pos is None
+        if whole_view:  # every key, fed by every edge
+            aff_pos = np.arange(n, dtype="int64")
+            sub_edges, src_pos = view.pd, aff_pos
         else:
             sub_edges, src_pos = _in_edge_subset(idx, view, aff_pos)
-            if len(sub_edges) <= local_threshold:
-                agg_pd = _aggregate_local(
-                    spec, idx, states[it - 1], deg, sub_edges, src_pos, aff_pos
-                )
-                local_rounds += 1
-            else:
-                agg_pd = _aggregate(
-                    spark, view, spec, idx, states[it - 1], deg, src_pos, aff_pos
-                )
-                jobs += 1
-        if aff_pos is None:
-            aff_pos = np.arange(n, dtype="int64")
+        if len(sub_edges) <= local_threshold:
+            agg_pd = _aggregate_local(
+                spec, idx, states[it - 1], deg, sub_edges, src_pos, aff_pos
+            )
+            local_rounds += 1
+        else:
+            agg_pd = _aggregate(
+                spark, view, spec, idx, states[it - 1], deg, src_pos,
+                None if whole_view else aff_pos,
+            )
+            jobs += 1
         total_affected += len(aff_pos)
         agg_arr = np.full(len(aff_pos), np.nan)
         if len(agg_pd):

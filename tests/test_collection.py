@@ -1,6 +1,4 @@
 """End-to-end view-collection materialization tests (paper §3.2.1)."""
-import time
-
 import numpy as np
 import pandas as pd
 import pytest
@@ -207,13 +205,10 @@ def test_view_index_out_of_range(coll):
         coll.delta_pd(coll.k)
 
 
-def test_views_deltas_and_edge_sets_start_no_spark_job(spark, coll):
+def test_views_deltas_and_edge_sets_start_no_spark_job(spark, coll, spark_job_ids):
     """Reading views and δ, and building a collection from edge sets, run
     at the driver: no Spark job is submitted under their job group."""
-    sc = spark.sparkContext
-    tracker = sc.statusTracker()
-    try:
-        sc.setJobGroup("no-spark-probe", "driver-only calls")
+    with spark_job_ids("no-spark-probe") as ids:
         for t in range(coll.k):
             coll.view_edges_pd(t)
             if t:
@@ -224,14 +219,34 @@ def test_views_deltas_and_edge_sets_start_no_spark_job(spark, coll):
         built = from_edge_sets(spark, "probe", [v0, v1], nodes)
         built.view_edges_pd(1)
         built.delta_pd(1)
-        # A job in a later group: once the tracker shows it, it has seen
-        # every job submitted before it.
-        sc.setJobGroup("no-spark-control", "control job")
-        spark.range(3).count()
-        deadline = time.monotonic() + 30
-        while not tracker.getJobIdsForGroup("no-spark-control"):
-            assert time.monotonic() < deadline, "control job never reported"
-            time.sleep(0.05)
-        assert list(tracker.getJobIdsForGroup("no-spark-probe")) == []
-    finally:
-        sc.setJobGroup(None, None)
+    assert ids == []
+
+
+@pytest.mark.parametrize("order", ["given", "optimize", [2, 0, 3, 1]])
+def test_creation_is_one_spark_action(spark, store, monkeypatch, order):
+    """Creation collects the EBM in one Spark action for every order (AQE
+    may split that action into several jobs) and leaves nothing cached."""
+    actions = []
+    depth = [0]
+
+    def counted(name, orig):
+        def wrapper(self, *args, **kwargs):
+            if depth[0] == 0:  # toPandas may call collect: count the outer
+                actions.append(name)
+            depth[0] += 1
+            try:
+                return orig(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    frame = type(spark.range(1))  # the session's concrete DataFrame class
+    for name in ("toPandas", "collect", "count"):
+        monkeypatch.setattr(frame, name, counted(name, getattr(frame, name)))
+    persisted = spark.sparkContext._jsc.getPersistentRDDs().size()
+    views = [(n, to_spark_column(parse_predicate(p))) for n, (p, _) in MIXED.items()]
+    c = materialize_collection(store, "mixed", views, order=order, weight_col="duration")
+    assert actions == ["toPandas"]
+    assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
+    assert c.k == len(MIXED)

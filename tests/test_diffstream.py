@@ -5,17 +5,17 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.collection import from_edge_sets
-from repro.core.diffstream import collect_stream, diff_counts, diff_stream, view_sizes
-from repro.core.ebm import BITS
+from repro.core.diffstream import diff_counts, flips, sort_stream, view_sizes
+from repro.core.ebm import BITS, collect_ebm, compute_ebm
 from repro.datasets import call_graph
 from repro.gvdl import parse_predicate, to_spark_column
-from repro.core.ebm import compute_ebm
 from repro.storage.store import GraphStore
 
 
 @pytest.fixture(scope="module")
 def figure5_ebm(spark):
-    """The paper's Figure-5a matrix, loaded verbatim."""
+    """The paper's Figure-5a matrix, loaded verbatim into Spark and
+    collected back as ``(edges, bits)``."""
     rows = [
         (0, 0, 1, 1.0, [True, False, False]),
         (1, 1, 2, 1.0, [True, False, True]),
@@ -24,14 +24,20 @@ def figure5_ebm(spark):
         (4, 4, 0, 1.0, [True, False, True]),
     ]
     pdf = pd.DataFrame(rows, columns=["eid", "src", "dst", "weight", BITS])
-    return spark.createDataFrame(
+    ebm = spark.createDataFrame(
         pdf, schema="eid long, src long, dst long, weight double, bits array<boolean>"
-    ).cache()
+    )
+    return collect_ebm(ebm, 3)
+
+
+def _stream(ebm, order):
+    edges, bits = ebm
+    return sort_stream(flips(edges, bits, order))
 
 
 def test_figure5_difference_stream(figure5_ebm):
     """Reproduce Figure 5b exactly."""
-    ds = diff_stream(figure5_ebm, [0, 1, 2]).toPandas()
+    ds = flips(*figure5_ebm, [0, 1, 2])
     got = {(int(r.eid), int(r.t)): int(r.sign) for r in ds.itertuples()}
     expected = {
         (0, 0): 1, (0, 1): -1,
@@ -44,16 +50,16 @@ def test_figure5_difference_stream(figure5_ebm):
 
 
 def test_figure5_diff_counts(figure5_ebm):
-    assert diff_counts(collect_stream(figure5_ebm, [0, 1, 2]), 3) == [3, 4, 3]
+    assert diff_counts(_stream(figure5_ebm, [0, 1, 2]), 3) == [3, 4, 3]
 
 
 def test_figure5_view_sizes(figure5_ebm):
-    assert view_sizes(collect_stream(figure5_ebm, [0, 1, 2]), 3) == [3, 1, 4]
+    assert view_sizes(_stream(figure5_ebm, [0, 1, 2]), 3) == [3, 1, 4]
 
 
 def test_diff_counts_under_reorder(figure5_ebm):
     # ordering [2, 0, 1]: first view = column 2
-    stream = collect_stream(figure5_ebm, [2, 0, 1])
+    stream = _stream(figure5_ebm, [2, 0, 1])
     assert view_sizes(stream, 3) == [4, 3, 1]
     counts = diff_counts(stream, 3)
     assert counts[0] == 4
@@ -68,7 +74,7 @@ def test_prefix_sum_reconstructs_views(spark):
         store, [to_spark_column(parse_predicate(p)) for p in preds]
     ).cache()
     order = [2, 0, 3, 1]
-    ds = diff_stream(ebm, order).toPandas()
+    ds = _stream(collect_ebm(ebm, len(preds)), order)
     bits = ebm.select("eid", BITS).toPandas().set_index("eid")
     for t in range(4):
         acc = ds[ds.t <= t].groupby("eid")["sign"].sum()
@@ -80,7 +86,7 @@ def test_prefix_sum_reconstructs_views(spark):
 
 
 def test_signs_are_plus_minus_one(figure5_ebm):
-    ds = diff_stream(figure5_ebm, [1, 2, 0]).toPandas()
+    ds = flips(*figure5_ebm, [1, 2, 0])
     assert set(ds.sign) <= {-1, 1}
 
 

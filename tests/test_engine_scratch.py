@@ -93,27 +93,78 @@ def test_mpsp_matches_dijkstra(spark, graph, source):
     assert all(a == b or abs(a - b) < 1e-9 for a, b in zip(got, ref))
 
 
-@pytest.mark.parametrize("algo", ["WCC", "BFS", "BF", "PR", "MPSP"])
-def test_spark_placed_rounds_match_references(spark, graph, source, algo):
-    """local_threshold=0 runs every round as a Spark job; the tests above
-    use the default, which runs every round after the first at the driver
-    on this graph."""
-    nodes, edges = graph
+def _spec_and_reference(algo, edges, nodes, source):
     vids = list(nodes.vid)
     pairs = [(source, 3), (source, 77), (11, 50), (5, source)]
-    spec, ref = {
+    return {
         "WCC": (WCC(), lambda: {k: float(v) for k, v in ref_wcc(edges, vids).items()}),
         "BFS": (BFS(source), lambda: ref_bfs(edges, source, vids)),
         "BF": (BellmanFord(source), lambda: ref_sssp(edges, source, vids)),
         "PR": (PageRank(iters=3), lambda: ref_pagerank(edges, vids, iters=3)),
         "MPSP": (MPSP(pairs), lambda: dict(enumerate(ref_mpsp(edges, pairs, vids)))),
     }[algo]
-    res = run(spark, edges, spec, nodes, local_threshold=0)
-    got = dict(enumerate(spec.pair_distances(res))) if algo == "MPSP" else as_dict(res)
-    want = ref()
-    assert res.spark_jobs > 1
+
+
+def _values(algo, spec, res):
+    return dict(enumerate(spec.pair_distances(res))) if algo == "MPSP" else as_dict(res)
+
+
+def _assert_matches(got, want):
     assert got.keys() == want.keys()
     assert np.allclose([got[k] for k in want], list(want.values()), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("algo", ["WCC", "BFS", "BF", "PR", "MPSP"])
+def test_spark_placed_rounds_match_references(spark, graph, source, algo):
+    """local_threshold=0 runs every round as a Spark job; the tests above
+    use the default, which runs every round at the driver on this graph
+    (its 420 edges are within the threshold)."""
+    nodes, edges = graph
+    spec, ref = _spec_and_reference(algo, edges, nodes, source)
+    res = run(spark, edges, spec, nodes, local_threshold=0)
+    assert res.spark_jobs > 1
+    _assert_matches(_values(algo, spec, res), ref())
+
+
+@pytest.mark.parametrize("algo", ["WCC", "BFS", "PR", "MPSP"])
+def test_small_view_scratch_runs_at_driver(spark, graph, source, algo):
+    """A view within the threshold runs every scratch round, the first one
+    over the whole view included, at the driver: no Spark job, and the
+    same answer as the all-Spark placement and the reference."""
+    nodes, edges = graph
+    assert len(edges) <= LOCAL_AGG_THRESHOLD
+    spec, ref = _spec_and_reference(algo, edges, nodes, source)
+    local = run(spark, edges, spec, nodes)
+    assert local.spark_jobs == 0
+    assert local.extras["local_rounds"] >= 1
+    got = _values(algo, spec, local)
+    _assert_matches(got, _values(algo, spec, run(spark, edges, spec, nodes, local_threshold=0)))
+    _assert_matches(got, ref())
+
+
+def test_view_build_starts_no_spark_job(spark, graph, spark_job_ids):
+    """Building a view (both orientations) submits no Spark job; its Spark
+    frame is built only when a Spark-placed round reads it."""
+    _, edges = graph
+    with spark_job_ids("view-build-probe") as ids:
+        views = [ViewEdges(spark, edges, undirected=u) for u in (False, True)]
+        for v in views:
+            v.out_adj, v.in_rows, v.out_degree(np.arange(10))
+            v.unpersist()
+    assert ids == []
+
+
+def test_out_degree_matches_groupby(spark):
+    """out_degree (from the out_adj index) equals a pandas groupby count,
+    zeros for vertices with no out-edges or absent from the view."""
+    edges = pd.DataFrame({"src": [3, 3, 1, 7, 3, 7], "dst": [1, 2, 3, 3, 1, 0]})
+    vids = np.array([0, 1, 2, 3, 5, 7, 9])
+    for undirected in (False, True):
+        v = ViewEdges(spark, edges, undirected=undirected)
+        ref = v.pd.groupby("src").size().reindex(vids, fill_value=0)
+        assert np.array_equal(v.out_degree(vids), ref.to_numpy(dtype="float64"))
+    empty = ViewEdges(spark, edges.iloc[:0])
+    assert np.array_equal(empty.out_degree(vids), np.zeros(len(vids)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
